@@ -9,16 +9,14 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-use clara_lang::{parse_program, ParseError, SourceProgram, Value};
-use clara_model::frontend::{FrontendError, Lang};
-use clara_model::{execute_on_inputs, lower_entry, Fuel, LowerError, Program, StructSig, Trace};
+use clara_lang::Value;
+use clara_model::frontend::{FrontendError, Lang, ParsedSubmission};
+use clara_model::{execute_on_inputs, Fuel, LowerError, Program, StructSig, Trace};
 
 /// Why a student attempt could not be analysed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnalysisError {
-    /// The source text could not be parsed (MiniPy).
-    Parse(ParseError),
-    /// The source text could not be parsed (any non-MiniPy frontend).
+    /// The source text could not be parsed.
     Syntax(FrontendError),
     /// The program uses constructs the model does not support.
     Unsupported(LowerError),
@@ -27,7 +25,6 @@ pub enum AnalysisError {
 impl std::fmt::Display for AnalysisError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AnalysisError::Parse(e) => write!(f, "{e}"),
             AnalysisError::Syntax(e) => write!(f, "{e}"),
             AnalysisError::Unsupported(e) => write!(f, "{e}"),
         }
@@ -35,19 +32,13 @@ impl std::fmt::Display for AnalysisError {
 }
 
 impl AnalysisError {
-    /// `true` for the parse-failure variants (of any frontend).
+    /// `true` for parse failures (of any frontend).
     pub fn is_syntax_error(&self) -> bool {
-        matches!(self, AnalysisError::Parse(_) | AnalysisError::Syntax(_))
+        matches!(self, AnalysisError::Syntax(_))
     }
 }
 
 impl std::error::Error for AnalysisError {}
-
-impl From<ParseError> for AnalysisError {
-    fn from(e: ParseError) -> Self {
-        AnalysisError::Parse(e)
-    }
-}
 
 impl From<FrontendError> for AnalysisError {
     fn from(e: FrontendError) -> Self {
@@ -87,27 +78,11 @@ struct Projection {
 }
 
 impl AnalyzedProgram {
-    /// Lowers `source`'s `entry` function and executes it on `inputs`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`AnalysisError`] if the program cannot be lowered into the
-    /// model.
-    pub fn from_source(
-        source: &SourceProgram,
-        entry: &str,
-        inputs: &[Vec<Value>],
-        fuel: Fuel,
-    ) -> Result<Self, AnalysisError> {
-        let program = lower_entry(source, entry)?;
-        Ok(Self::from_program(program, inputs, fuel))
-    }
-
     /// Parses, lowers and executes a MiniPy source text in one step.
     ///
     /// # Errors
     ///
-    /// Returns an [`AnalysisError`] for parse errors or unsupported
+    /// Returns an [`AnalysisError`] for syntax errors or unsupported
     /// constructs.
     pub fn from_text(
         text: &str,
@@ -115,15 +90,10 @@ impl AnalyzedProgram {
         inputs: &[Vec<Value>],
         fuel: Fuel,
     ) -> Result<Self, AnalysisError> {
-        let source = parse_program(text)?;
-        Self::from_source(&source, entry, inputs, fuel)
+        Self::from_text_in(Lang::MiniPy, text, entry, inputs, fuel)
     }
 
     /// Parses, lowers and executes a source text written in `lang`.
-    ///
-    /// The MiniPy path is byte-identical to [`AnalyzedProgram::from_text`]
-    /// (including its error variants); other languages go through their
-    /// [`clara_model::frontend::Frontend`].
     ///
     /// # Errors
     ///
@@ -136,14 +106,25 @@ impl AnalyzedProgram {
         inputs: &[Vec<Value>],
         fuel: Fuel,
     ) -> Result<Self, AnalysisError> {
-        match lang {
-            Lang::MiniPy => Self::from_text(text, entry, inputs, fuel),
-            _ => {
-                let parsed = crate::frontends::frontend(lang).parse(text)?;
-                let program = parsed.lower(entry)?;
-                Ok(Self::from_program(program, inputs, fuel))
-            }
-        }
+        let parsed = crate::frontends::frontend(lang).parse(text)?;
+        Self::from_parsed(parsed.as_ref(), entry, inputs, fuel)
+    }
+
+    /// Lowers a parsed submission's `entry` function and executes it on
+    /// `inputs` — the one step from a frontend's parse to an analysed
+    /// program, whatever the language.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::Unsupported`] if the program cannot be
+    /// lowered into the model.
+    pub fn from_parsed(
+        parsed: &dyn ParsedSubmission,
+        entry: &str,
+        inputs: &[Vec<Value>],
+        fuel: Fuel,
+    ) -> Result<Self, AnalysisError> {
+        Ok(Self::from_program(parsed.lower(entry)?, inputs, fuel))
     }
 
     /// Executes an already-lowered program on `inputs`.
@@ -309,7 +290,7 @@ def computeDeriv(poly):
     #[test]
     fn parse_errors_are_reported() {
         let err = AnalyzedProgram::from_text("def f(:\n", "f", &[], Fuel::default()).unwrap_err();
-        assert!(matches!(err, AnalysisError::Parse(_)));
+        assert!(matches!(err, AnalysisError::Syntax(_)));
     }
 
     #[test]

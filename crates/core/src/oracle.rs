@@ -19,7 +19,6 @@
 use clara_lang::ProblemSpec;
 use clara_model::frontend::{grading_fuel, model_passes, Lang};
 
-use crate::analysis::AnalyzedProgram;
 use crate::frontends::frontend;
 use crate::repair::RepairFailure;
 use crate::{Clara, ClaraConfig};
@@ -103,19 +102,15 @@ impl DifferentialOracle {
 
     /// Runs the full pipeline on `source` and checks any claimed repair
     /// against the specification. The source is parsed exactly once; the
-    /// same parse serves analysis and the relative-patch-size denominator.
+    /// same parse serves the production repair path and the
+    /// relative-patch-size denominator.
     pub fn check(&self, source: &str) -> OracleVerdict {
         let Ok(parsed) = frontend(self.clara.lang()).parse(source) else {
             return OracleVerdict::Unsupported;
         };
-        let Ok(program) = parsed.lower(&self.spec.entry) else {
+        let Ok(outcome) = self.clara.repair_parsed(parsed.as_ref()) else {
             return OracleVerdict::Unsupported;
         };
-        let attempt = AnalyzedProgram::from_program(program, self.clara.inputs(), self.clara.fuel());
-        // The same parse also feeds the structural half of candidate
-        // retrieval, so the oracle exercises the exact production path.
-        let surface = parsed.surface(&self.spec.entry).ok();
-        let outcome = self.clara.repair_with_surface(&attempt, surface.as_ref());
         let realigned = outcome.result.realigned;
         match outcome.result.best {
             None => OracleVerdict::NotRepaired { failure: outcome.result.failure },

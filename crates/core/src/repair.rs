@@ -1057,8 +1057,12 @@ pub fn repair_against_cluster(
         .filter(|v1| add_vars.get(*v1).is_some_and(|id| solution.value(*id)))
         .map(|v1| (v1.clone(), fresh_names[v1.as_str()].clone()))
         .collect();
-    let deleted_vars: Vec<String> =
-        del_vars.iter().filter(|(_, id)| solution.value(**id)).map(|(v2, _)| v2.clone()).collect();
+    // In `impl_vars` order, for the same reason (`del_vars` is a hash map).
+    let deleted_vars: Vec<String> = impl_vars
+        .iter()
+        .filter(|v2| del_vars.get(*v2).is_some_and(|id| solution.value(*id)))
+        .cloned()
+        .collect();
 
     // Translation of representative variables back to implementation
     // variables (τ⁻¹ extended with the fresh names).
@@ -1506,6 +1510,35 @@ def computeDeriv(poly):
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn deleted_variables_render_in_a_stable_order() {
+        // Two surplus variables assigned at the same locations: their
+        // deletions tie on location, so the feedback order is the order of
+        // `deleted_vars`, which must not depend on hash-map iteration.
+        let clusters = derivatives_clusters();
+        let attempt = analyze(
+            "def computeDeriv(poly):\n    result = []\n    junk = 0\n    extra = 1\n    for e in range(1, len(poly)):\n        result.append(float(poly[e]*e))\n        junk = junk + e\n        extra = extra * 2\n    if result == []:\n        return [0.0]\n    return result\n",
+        );
+        let surplus: Vec<&String> =
+            attempt.program.vars.iter().filter(|v| *v == "junk" || *v == "extra").collect();
+        let lines = || {
+            let repair =
+                repair_attempt(&clusters, &attempt, &inputs(), &RepairConfig::default()).best.unwrap();
+            assert_eq!(
+                repair.deleted_vars.iter().collect::<Vec<_>>(),
+                surplus,
+                "the attempt's variable order"
+            );
+            crate::feedback::render_feedback(&repair, &attempt.program, &crate::FeedbackOptions::default())
+                .lines()
+        };
+        let first = lines();
+        assert!(first.iter().filter(|line| line.starts_with("Delete")).count() >= 4, "{first:?}");
+        for _ in 1..20 {
+            assert_eq!(lines(), first);
         }
     }
 

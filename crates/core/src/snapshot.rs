@@ -218,6 +218,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for SnapshotCell<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
 
     #[test]
     fn load_returns_the_published_snapshot_with_its_generation() {
@@ -293,16 +294,25 @@ mod tests {
             }
         }
 
+        const READERS: usize = 4;
         let cell = Arc::new(SnapshotCell::new(Checked::new(0)));
         let stop = Arc::new(AtomicUsize::new(0));
-        let readers: Vec<_> = (0..4)
+        // Every reader is running before the first publish: on a small
+        // machine the writer could otherwise finish before any reader is
+        // scheduled, and the test would check nothing.
+        let running = Arc::new(Barrier::new(READERS + 1));
+        let readers: Vec<_> = (0..READERS)
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 let stop = Arc::clone(&stop);
+                let running = Arc::clone(&running);
                 std::thread::spawn(move || {
                     let mut last_generation = 0;
                     let mut loads = 0u64;
-                    while stop.load(SeqCst) == 0 {
+                    running.wait();
+                    // At least one load per reader, however late the
+                    // `stop` flag is observed.
+                    loop {
                         let snapshot = cell.load();
                         snapshot.verify();
                         // Generations are monotone from any reader's view.
@@ -312,12 +322,16 @@ mod tests {
                         assert_eq!(snapshot.tag, snapshot.generation(), "payload from another generation");
                         last_generation = snapshot.generation();
                         loads += 1;
+                        if stop.load(SeqCst) != 0 {
+                            break;
+                        }
                     }
                     loads
                 })
             })
             .collect();
 
+        running.wait();
         let mut generation = 0;
         for _ in 0..2_000 {
             generation = cell.publish(Checked::new(generation + 1));

@@ -7,7 +7,7 @@
 //! and a loopback waker pair. Parsed requests are handed to the worker pool
 //! with `try_submit` — never a blocking call, so one flooding client cannot
 //! wedge the loop — and finished responses come back through a completion
-//! queue plus a waker byte. When every worker queue is full, requests park
+//! queue plus a waker byte. When the pool's job queue is full, requests park
 //! in a bounded pending ring (retried each iteration); past that bound the
 //! loop sheds load with an explicit `overloaded` error instead of buffering
 //! without limit.
@@ -91,7 +91,7 @@ pub struct EventLoopConfig {
     /// Per-connection input-buffer cap; an NDJSON line or HTTP request
     /// larger than this is rejected and the connection closed.
     pub max_buffer: usize,
-    /// Parsed requests parked while every worker queue is full; past this
+    /// Parsed requests parked while the pool's job queue is full; past this
     /// the loop sheds with an `overloaded` error response.
     pub max_pending: usize,
     /// Connections idle longer than this mid-request are dropped.

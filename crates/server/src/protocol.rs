@@ -162,7 +162,7 @@ pub struct StatsReport {
     /// Highest index-snapshot generation across the problem shards; bumps
     /// on every online insertion.
     pub snapshot_generation: u64,
-    /// Jobs currently waiting in the worker queues.
+    /// Jobs currently waiting in the job queue.
     pub queue_depth: u64,
     /// Worker threads serving this process.
     pub workers: u64,

@@ -47,7 +47,8 @@ use crate::shard::{HashRing, REPLICATION_FACTOR};
 pub struct RouterConfig {
     /// Forwarding worker threads (each blocks on one upstream exchange).
     pub workers: usize,
-    /// Per-worker queue capacity.
+    /// Job-queue slots per worker (the shared queue holds
+    /// `workers × queue_capacity`).
     pub queue_capacity: usize,
     /// Retry/backoff/deadline budget for each client request.
     pub retry: RetryPolicy,

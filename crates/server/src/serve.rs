@@ -2,7 +2,7 @@
 //! the HTTP endpoint (served by the poll(2) event loop in [`crate::net`]).
 //!
 //! All front ends funnel requests through the same [`WorkerPool`] into the
-//! shared [`FeedbackService`]; the bounded per-worker queues give the
+//! shared [`FeedbackService`]; the pool's bounded queue gives the
 //! service backpressure (a flooding client blocks or is shed instead of
 //! ballooning memory). Workers drain requests in batches, so the service
 //! amortises snapshot resolution and deduplicates identical submissions
@@ -23,8 +23,9 @@ use crate::service::FeedbackService;
 pub struct ServerConfig {
     /// Number of worker threads.
     pub workers: usize,
-    /// Bounded job-queue capacity **per worker** (submission blocks or is
-    /// shed when every queue is full).
+    /// Job-queue slots **per worker**: the shared queue holds
+    /// `workers × queue_capacity` jobs (submission blocks or is shed when it
+    /// is full).
     pub queue_capacity: usize,
     /// Most requests one worker drains per wakeup; the whole batch is
     /// answered with one service call (one snapshot resolution per shard,
@@ -87,7 +88,7 @@ impl Server {
     }
 
     /// Enqueues a request; `on_response` runs on a worker thread when the
-    /// request completes. Blocks while every worker queue is full.
+    /// request completes. Blocks while the job queue is full.
     ///
     /// # Errors
     ///
@@ -100,8 +101,8 @@ impl Server {
         self.pool.submit((request, Box::new(on_response)))
     }
 
-    /// Enqueues a request without blocking; `Ok(false)` signals that every
-    /// worker queue is full (the caller sheds or retries — the event loop
+    /// Enqueues a request without blocking; `Ok(false)` signals that the job
+    /// queue is full (the caller sheds or retries — the event loop
     /// parks the request in its pending ring).
     ///
     /// # Errors
@@ -126,7 +127,7 @@ impl Server {
         self.pool.panic_count()
     }
 
-    /// Jobs currently waiting in the worker queues.
+    /// Jobs currently waiting in the job queue.
     pub fn queued(&self) -> u64 {
         self.pool.queued()
     }

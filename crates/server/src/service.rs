@@ -30,7 +30,7 @@ use std::time::Instant;
 use clara_core::timing::{self, Stage, StageTimer};
 use clara_core::{frontend, ClaraConfig, Snapshot, SnapshotCell};
 use clara_corpus::Problem;
-use clara_model::frontend::Lang;
+use clara_model::frontend::{Lang, ParsedSubmission};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::StripedCache;
@@ -515,7 +515,8 @@ impl FeedbackService {
             // A cache hit answers the *feedback* question, but a learn
             // request must still reach the index — the first occurrence may
             // have been cached without the learn flag.
-            let learned = cached.status == Status::Correct && self.learn_if_requested(request, shard);
+            let learned =
+                cached.status == Status::Correct && self.learn_if_requested(request, shard, parsed.as_ref());
             return Response {
                 id: request.id,
                 status: cached.status,
@@ -537,7 +538,7 @@ impl FeedbackService {
                 // lock, so a concurrent learn (publishing a successor index)
                 // never stalls this — the answer reflects the snapshot's
                 // generation.
-                match snapshot.data().engine().repair_source(&request.source) {
+                match snapshot.data().engine().repair_parsed(parsed.as_ref()) {
                     Ok(outcome) => {
                         self.record_retrieval(&outcome.result);
                         let status =
@@ -583,7 +584,8 @@ impl FeedbackService {
         // per request, never under the flight slot: a coalesced learn must
         // still insert, and the leader must not hold followers hostage to
         // the writer mutex.
-        let learned = outcome.status == Status::Correct && self.learn_if_requested(request, shard);
+        let learned =
+            outcome.status == Status::Correct && self.learn_if_requested(request, shard, parsed.as_ref());
 
         if !coalesced {
             // Repair is deterministic given the index snapshot, and the
@@ -641,8 +643,14 @@ impl FeedbackService {
     /// when the request asks for it and learning is enabled. The insertion
     /// is copy-on-write: the successor store is built off-path under the
     /// shard's writer mutex and published with one pointer swap, so readers
-    /// never block. Returns whether an insertion happened.
-    fn learn_if_requested(&self, request: &Request, shard: &ProblemShard) -> bool {
+    /// never block. `parsed` is the request's own parse, reused for the
+    /// insertion. Returns whether an insertion happened.
+    fn learn_if_requested(
+        &self,
+        request: &Request,
+        shard: &ProblemShard,
+        parsed: &dyn ParsedSubmission,
+    ) -> bool {
         if !(self.config.learn && request.learn.unwrap_or(false)) {
             return false;
         }
@@ -654,7 +662,7 @@ impl FeedbackService {
         // consistent.
         let _writer = shard.write.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         let current = shard.cell.load();
-        match current.data().with_learned(&request.source) {
+        match current.data().with_learned_parsed(&request.source, parsed) {
             Ok((next, _cluster)) => {
                 shard.cell.publish(next);
                 self.counters.learned.fetch_add(1, Ordering::Relaxed);

@@ -24,6 +24,7 @@ use clara_core::{
 };
 use clara_corpus::Problem;
 use clara_lang::Expr;
+use clara_model::frontend::ParsedSubmission;
 use serde::{Deserialize, Serialize};
 
 /// On-disk format version; bumped when the stored shape changes.
@@ -170,7 +171,14 @@ impl ClusterStore {
     ///
     /// Returns an [`AnalysisError`] when the solution cannot be analysed.
     pub fn insert_correct(&mut self, source: &str) -> Result<usize, AnalysisError> {
-        let index = self.engine.add_correct_solution(source)?;
+        let parsed = frontend(self.problem.lang).parse(source)?;
+        self.insert_parsed(source, parsed.as_ref())
+    }
+
+    /// [`ClusterStore::insert_correct`] for a solution the caller already
+    /// parsed; `source` is its text, kept if it becomes a representative.
+    fn insert_parsed(&mut self, source: &str, parsed: &dyn ParsedSubmission) -> Result<usize, AnalysisError> {
+        let index = self.engine.add_correct_parsed(parsed)?;
         if index == self.rep_sources.len() {
             // The solution opened a new cluster and is its representative.
             self.rep_sources.push(source.to_owned());
@@ -192,6 +200,18 @@ impl ClusterStore {
     pub fn with_learned(&self, source: &str) -> Result<(Self, usize), AnalysisError> {
         let mut next = self.clone();
         let cluster = next.insert_correct(source)?;
+        Ok((next, cluster))
+    }
+
+    /// [`ClusterStore::with_learned`] for a submission the service already
+    /// parsed.
+    pub(crate) fn with_learned_parsed(
+        &self,
+        source: &str,
+        parsed: &dyn ParsedSubmission,
+    ) -> Result<(Self, usize), AnalysisError> {
+        let mut next = self.clone();
+        let cluster = next.insert_parsed(source, parsed)?;
         Ok((next, cluster))
     }
 
@@ -263,19 +283,23 @@ impl ClusterStore {
         let inputs = problem.inputs();
         let mut clusters = Vec::with_capacity(stored.clusters.len());
         let mut rep_sources = Vec::with_capacity(stored.clusters.len());
+        // One parse per representative: it is analysed here and, for a v2
+        // file, also yields the surface IR of the rebuilt retrieval signals.
+        let mut rep_parses = Vec::with_capacity(stored.clusters.len());
         for cluster in stored.clusters {
-            let representative = AnalyzedProgram::from_text_in(
-                problem.lang,
-                &cluster.representative,
-                problem.entry,
-                &inputs,
-                config.repair.fuel,
-            )
-            .map_err(|e| StoreError::Analysis(format!("representative of `{}`: {e}", stored.problem)))?;
+            let stale = |e: AnalysisError| {
+                StoreError::Analysis(format!("representative of `{}`: {e}", stored.problem))
+            };
+            let parsed =
+                frontend(problem.lang).parse(&cluster.representative).map_err(|e| stale(e.into()))?;
+            let representative =
+                AnalyzedProgram::from_parsed(parsed.as_ref(), problem.entry, &inputs, config.repair.fuel)
+                    .map_err(stale)?;
             let slots =
                 cluster.expressions.into_iter().map(|slot| (slot.loc, slot.var, slot.exprs)).collect();
             clusters.push(Cluster::from_parts(representative, cluster.member_ids, slots));
             rep_sources.push(cluster.representative);
+            rep_parses.push(parsed);
         }
         let mut engine =
             Clara::restore_in(problem.lang, problem.entry, inputs, config, clusters, stored.correct_count);
@@ -291,9 +315,8 @@ impl ClusterStore {
             // signals but self-healing, and the next save writes v3.
             None => {
                 let mut rebuilt = CandidateIndex::new();
-                for (i, (cluster, source)) in engine.clusters().iter().zip(&rep_sources).enumerate() {
-                    let surface =
-                        frontend(problem.lang).parse(source).ok().and_then(|p| p.surface(problem.entry).ok());
+                for (i, (cluster, parsed)) in engine.clusters().iter().zip(&rep_parses).enumerate() {
+                    let surface = parsed.surface(problem.entry).ok();
                     rebuilt.record(i, &QuerySignals::for_program(&cluster.representative, surface.as_ref()));
                 }
                 rebuilt
